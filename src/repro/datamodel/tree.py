@@ -120,13 +120,17 @@ class Vertex:
             raise DuplicateVertexError(
                 f"vertex #{child.vid} ({child.label!r}) already has a parent")
         # Reject cycles: a vertex may not become a child of its own
-        # descendant (includes child is self).
-        anc: Vertex | None = self
-        while anc is not None:
-            if anc is child:
-                raise DataModelError(
-                    f"appending vertex #{child.vid} would create a cycle")
-            anc = anc._parent
+        # descendant (includes child is self).  A childless vertex other
+        # than self has no descendants, so it cannot close a cycle; the
+        # parser only attaches such fresh leaves, which keeps building a
+        # deep document linear instead of quadratic in its depth.
+        if child._children or child is self:
+            anc: Vertex | None = self
+            while anc is not None:
+                if anc is child:
+                    raise DataModelError(
+                        f"appending vertex #{child.vid} would create a cycle")
+                anc = anc._parent
         child._parent = self
         self._children.append(child)
         return child

@@ -1,11 +1,18 @@
 """Single-pass streaming validation from the token stream.
 
-:class:`StreamValidator` folds :class:`~repro.xmlio.tokenizer.Tokenizer`
-events through a compiled :class:`~repro.stream.plan.StreamPlan` — no
+:class:`StreamValidator` folds the tuples of
+:func:`repro.xmlio.tokenizer.scan` — the one compiled master-pattern
+scanner that batch parsing uses too — through a compiled
+:class:`~repro.stream.plan.StreamPlan`: no
 :class:`~repro.datamodel.tree.DataTree`, no
-:class:`~repro.datamodel.indexes.AttributeIndex` — and emits a
-:class:`~repro.dtd.validate.ValidationReport` that is byte-identical
-(``to_json()``) to ``validate(parse_document(text, S), dtd)``.
+:class:`~repro.datamodel.indexes.AttributeIndex`, and no per-token
+object.  Each ``(kind, value, attributes, offset)`` tuple is unpacked
+directly; an offset becomes a line number only when an
+:class:`~repro.errors.XMLSyntaxError` is raised, so the messages and
+lines are those of :func:`~repro.xmlio.parser.parse_document`.  The pass
+emits a :class:`~repro.dtd.validate.ValidationReport` that is
+byte-identical (``to_json()``) to
+``validate(parse_document(text, S), dtd)``.
 
 What makes byte-identity work:
 
@@ -47,7 +54,7 @@ from repro.dtd.validate import ValidationReport
 from repro.errors import XMLSyntaxError
 from repro.obs import NULL_OBS
 from repro.stream.plan import StreamPlan, compile_plan
-from repro.xmlio.tokenizer import Tokenizer
+from repro.xmlio.tokenizer import line_at, scan
 
 _EMPTY: frozenset[str] = frozenset()
 
@@ -211,7 +218,9 @@ class _Run:
         self.next_vid = 0
         self.n_events = 0
         self.root_seen = False
+        self.text = ""
         self.stack: list[_Frame] = []
+        #: (text chunk, offset) awaiting the next tag
         self.pending_text: list[tuple[str, int]] = []
         #: ((vid, rank), code, message, vids): rank -1 root check,
         #: 0 element/content-model, 1 attribute checks — the batch sweep
@@ -241,33 +250,33 @@ class _Run:
             buckets=_DEPTH_BUCKETS) if track else None
         stack = self.stack
         pending = self.pending_text
+        self.text = text
         n_events = 0
-        for token in Tokenizer(text).tokens():
+        for kind, value, attrs, offset in scan(text):
             n_events += 1
-            kind = token.kind
             if kind == "text":
-                pending.append((token.value, token.line))
+                pending.append((value, offset))
                 continue
             if kind in ("comment", "pi", "doctype"):
                 continue
             if pending:
                 self._flush_text(keep_whitespace)
             if kind == "start":
-                stack.append(self._open(token))
+                stack.append(self._open(value, attrs, offset))
                 if track:
                     depth_hist.observe(len(stack))
             elif kind == "empty":
-                self._close(self._open(token))
+                self._close(self._open(value, attrs, offset))
             else:  # "end"
                 if not stack:
                     raise XMLSyntaxError(
-                        f"unexpected end tag </{token.value}>",
-                        line=token.line)
+                        f"unexpected end tag </{value}>",
+                        line=line_at(text, offset))
                 top = stack.pop()
-                if top.label != token.value:
+                if top.label != value:
                     raise XMLSyntaxError(
-                        f"end tag </{token.value}> does not match open "
-                        f"element <{top.label}>", line=token.line)
+                        f"end tag </{value}> does not match open "
+                        f"element <{top.label}>", line=line_at(text, offset))
                 self._close(top)
         if pending:
             self._flush_text(keep_whitespace)
@@ -281,11 +290,12 @@ class _Run:
 
     def _flush_text(self, keep_whitespace: bool) -> None:
         stack = self.stack
-        for chunk, line in self.pending_text:
+        for chunk, offset in self.pending_text:
             if not stack:
                 if chunk.strip():
                     raise XMLSyntaxError(
-                        "character data outside the root element", line=line)
+                        "character data outside the root element",
+                        line=line_at(self.text, offset))
                 continue
             if keep_whitespace or chunk.strip():
                 top = stack[-1]
@@ -294,8 +304,7 @@ class _Run:
                     top.texts.append(chunk)
         self.pending_text.clear()
 
-    def _open(self, token) -> _Frame:
-        label = token.value
+    def _open(self, label: str, attributes: tuple, offset: int) -> _Frame:
         stack = self.stack
         if not self.root_seen:
             self.root_seen = True
@@ -306,7 +315,7 @@ class _Run:
                     (0,)))
         elif not stack:
             raise XMLSyntaxError(f"second root element {label!r}",
-                                 line=token.line)
+                                 line=line_at(self.text, offset))
         vid = self.next_vid
         self.next_vid = vid + 1
         parent = stack[-1] if stack else None
@@ -317,13 +326,13 @@ class _Run:
         structural = self.structural
         attrs: dict[str, frozenset[str]] = {}
         if lp is None:
-            for name, raw in token.attributes:
+            for name, raw in attributes:
                 attrs[name] = frozenset((raw,))
             structural.append(((vid, 0), "element",
                                f"undeclared element type {label!r}", (vid,)))
         else:
             set_valued = lp.set_valued
-            for name, raw in token.attributes:
+            for name, raw in attributes:
                 attrs[name] = (frozenset(raw.split()) if name in set_valued
                                else frozenset((raw,)))
             declared = lp.declared_attrs

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 
 from repro.errors import XMLSyntaxError
 
@@ -21,15 +22,24 @@ def unescape(text: str, line: int | None = None) -> str:
     """Resolve predefined and numeric character references.
 
     Unknown named entities raise :class:`XMLSyntaxError` (the library
-    does not support custom entity declarations).
+    does not support custom entity declarations), and so do numeric
+    references beyond U+10FFFF.
     """
 
     def replace(m: re.Match) -> str:
         body = m.group(1)
-        if body.startswith("#x") or body.startswith("#X"):
-            return chr(int(body[2:], 16))
         if body.startswith("#"):
-            return chr(int(body[1:]))
+            hexadecimal = body.startswith("#x")
+            # Leading zeros are legal; past them, more than seven digits
+            # is out of range in either base (and int() need not parse
+            # an arbitrarily long string to say so).
+            digits = body[2 if hexadecimal else 1:].lstrip("0") or "0"
+            if len(digits) <= 7:
+                code = int(digits, 16 if hexadecimal else 10)
+                if code <= sys.maxunicode:
+                    return chr(code)
+            raise XMLSyntaxError(
+                f"invalid character reference &{body};", line=line)
         try:
             return _PREDEFINED[body]
         except KeyError:

@@ -9,6 +9,10 @@ attributes; all other attributes become singleton sets.
 Whitespace-only text between elements is dropped unless
 ``keep_whitespace=True`` — the data model of the paper has no notion of
 ignorable whitespace, but real XML serializations indent.
+
+The parser unpacks the ``(kind, value, attributes, offset)`` tuples of
+:func:`repro.xmlio.tokenizer.scan`, the scanner the streaming validator
+shares; an offset becomes a line number only for an error.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from repro.datamodel.tree import DataTree, Vertex
 from repro.dtd.structure import DTDStructure
 from repro.errors import XMLSyntaxError
-from repro.xmlio.tokenizer import Token, Tokenizer
+from repro.xmlio.tokenizer import line_at, scan
 
 
 def parse_document(text: str, structure: DTDStructure | None = None,
@@ -46,55 +50,58 @@ def _parse_document(text: str, structure: DTDStructure | None,
                     keep_whitespace: bool) -> DataTree:
     tree: DataTree | None = None
     stack: list[Vertex] = []
+    # (text chunk, offset) awaiting the next tag
     pending_text: list[tuple[str, int]] = []
 
     def flush_text() -> None:
-        for chunk, line in pending_text:
+        for chunk, offset in pending_text:
             if not stack:
                 if chunk.strip():
                     raise XMLSyntaxError(
-                        "character data outside the root element", line=line)
+                        "character data outside the root element",
+                        line=line_at(text, offset))
                 continue
             if keep_whitespace or chunk.strip():
                 stack[-1].append(chunk)
         pending_text.clear()
 
-    def open_element(token: Token) -> Vertex:
+    def open_element(label: str, attributes: tuple, offset: int) -> Vertex:
         nonlocal tree
         if tree is None:
-            tree = DataTree(token.value)
+            tree = DataTree(label)
             vertex = tree.root
         else:
             if not stack:
-                raise XMLSyntaxError(
-                    f"second root element {token.value!r}", line=token.line)
-            vertex = tree.create(token.value)
+                raise XMLSyntaxError(f"second root element {label!r}",
+                                     line=line_at(text, offset))
+            vertex = tree.create(label)
             stack[-1].append(vertex)
-        for name, raw in token.attributes:
+        for name, raw in attributes:
             vertex.set_attribute(name, _attribute_values(
-                token.value, name, raw, structure))
+                label, name, raw, structure))
         return vertex
 
-    for token in Tokenizer(text).tokens():
-        if token.kind in ("comment", "pi", "doctype"):
+    for kind, value, attributes, offset in scan(text):
+        if kind == "text":
+            pending_text.append((value, offset))
             continue
-        if token.kind == "text":
-            pending_text.append((token.value, token.line))
+        if kind in ("comment", "pi", "doctype"):
             continue
-        flush_text()
-        if token.kind == "start":
-            stack.append(open_element(token))
-        elif token.kind == "empty":
-            open_element(token)
-        elif token.kind == "end":
+        if pending_text:
+            flush_text()
+        if kind == "start":
+            stack.append(open_element(value, attributes, offset))
+        elif kind == "empty":
+            open_element(value, attributes, offset)
+        else:  # "end"
             if not stack:
-                raise XMLSyntaxError(
-                    f"unexpected end tag </{token.value}>", line=token.line)
+                raise XMLSyntaxError(f"unexpected end tag </{value}>",
+                                     line=line_at(text, offset))
             top = stack.pop()
-            if top.label != token.value:
+            if top.label != value:
                 raise XMLSyntaxError(
-                    f"end tag </{token.value}> does not match open "
-                    f"element <{top.label}>", line=token.line)
+                    f"end tag </{value}> does not match open "
+                    f"element <{top.label}>", line=line_at(text, offset))
     flush_text()
     if tree is None:
         raise XMLSyntaxError("document has no root element")
@@ -129,11 +136,11 @@ def parse_document_with_dtd(text: str, keep_whitespace: bool = False):
     from repro.xmlio.dtdparse import parse_dtdc
 
     doctype = None
-    for token in Tokenizer(text).tokens():
-        if token.kind == "doctype":
-            doctype = token.value
+    for kind, value, _attributes, _offset in scan(text):
+        if kind == "doctype":
+            doctype = value
             break
-        if token.kind in ("start", "empty"):
+        if kind in ("start", "empty"):
             break
     if doctype is None or "[" not in doctype:
         raise XMLSyntaxError(

@@ -89,6 +89,25 @@ class TestTreeInvariants:
         with pytest.raises(DataModelError):
             b.append(a)
 
+    def test_deep_ancestor_cycle_rejected(self):
+        tree = DataTree("r")
+        chain = [tree.root]
+        for _ in range(50):
+            chain.append(tree.create_under(chain[-1], "x"))
+        middle = chain[25].detach()
+        with pytest.raises(DataModelError):
+            chain[40].append(middle)
+        chain[10].append(middle)
+        tree.check_invariants()
+
+    def test_fresh_leaf_appends_under_deep_vertex(self):
+        tree = DataTree("r")
+        vertex = tree.root
+        for _ in range(5000):
+            vertex = tree.create_under(vertex, "x")
+        assert vertex.depth == 5000
+        tree.check_invariants()
+
     def test_cross_tree_adoption_rejected(self):
         t1, t2 = DataTree("r"), DataTree("r")
         foreign = t2.create("x")

@@ -137,6 +137,63 @@ class TestWellformedness:
             StreamValidator(compile_plan(lib)).validate_text(text)
         assert str(stream_err.value) == str(batch_err.value)
 
+    #: (document, message, line): lexer-level errors (unterminated
+    #: constructs, malformed tags, bad references) and parser-level
+    #: ones, each on a line other than the first where it can be
+    LINED = [
+        ("<library>\n<!-- never closed",
+         "unterminated comment", 2),
+        ("<library>\n\n<![CDATA[ never closed",
+         "unterminated CDATA section", 3),
+        ("<library>\n<?pi never closed",
+         "unterminated processing instruction", 2),
+        ("<!DOCTYPE library [\n<!ELEMENT library ANY>\n",
+         "unterminated DOCTYPE declaration", 1),
+        ("<library>\n</>",
+         "malformed end tag", 2),
+        ("<library>\n</library x>",
+         "malformed end tag </library", 2),
+        ("\n<1/>",
+         "malformed start tag", 2),
+        ("<library>\n<entry isbn=1 shelf='a'/>",
+         "malformed start tag <entry", 2),
+        ('<library>\n<entry isbn=\'1" shelf=\'a\'/>',
+         "malformed start tag <entry", 2),
+        ("<library>\n<entry isbn='1'shelf='a'/>",
+         "malformed start tag <entry", 2),
+        ("<library>\n<entry isbn='&bogus;' shelf='a'/>",
+         "unknown entity &bogus;", 2),
+        ("<library>\n<entry isbn='1' shelf='a'>fish & chips</entry>",
+         "bare '&' in character data (use &amp;)", 2),
+        ("<library>\n<entry isbn='1' shelf='a'>\n&#1114112;</entry></library>",
+         "invalid character reference &#1114112;", 2),
+        ("<library>\n<ref to='&#x110000;'/></library>",
+         "invalid character reference &#x110000;", 2),
+        ("<library>\n\n\n<ref to='&#99999999999;'/></library>",
+         "invalid character reference &#99999999999;", 4),
+        ("<library>\r\n<entry>\r\n</library>",
+         "end tag </library> does not match open element <entry>", 3),
+        ("<library/>\n\n<library/>",
+         "second root element 'library'", 3),
+        ("<library>\n\n</entry>",
+         "end tag </entry> does not match open element <library>", 3),
+        ("<library/>\n</library>",
+         "unexpected end tag </library>", 2),
+        ("<library/>\n\ntrailing",
+         "character data outside the root element", 1),
+        ("\n\nleading<library/>",
+         "character data outside the root element", 1),
+    ]
+
+    @pytest.mark.parametrize("text, message, line", LINED)
+    def test_same_message_and_line(self, lib, text, message, line):
+        with pytest.raises(XMLSyntaxError) as batch_err:
+            parse_document(text, lib.structure)
+        with pytest.raises(XMLSyntaxError) as stream_err:
+            StreamValidator(compile_plan(lib)).validate_text(text)
+        for err in (batch_err.value, stream_err.value):
+            assert (err.message, err.line) == (message, line)
+
 
 # -- the facade -------------------------------------------------------------
 

@@ -160,3 +160,56 @@ class TestCorpusKeyStability:
         b.root.set_attribute("x", "1")
         assert result_key(serialize(a), "fp") \
             == result_key(serialize(b), "fp")
+
+
+class TestDeepChain:
+    """Per-document cost is linear in nesting depth: a 20k-deep chain
+    parses, validates in every engine and serializes, far past the
+    interpreter's recursion limit."""
+
+    DEPTH = 20_000
+    SCHEMA = """
+<!ELEMENT chain (node)>
+<!ELEMENT node (node?)>
+<!ATTLIST node k CDATA #REQUIRED>
+%% constraints
+node.k -> node
+"""
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        from repro.xmlio.dtdparse import parse_dtdc
+
+        n = self.DEPTH
+        text = ("<chain>" + "".join(f'<node k="{i}">' for i in range(n - 1))
+                + f'<node k="{n - 1}"/>' + "</node>" * (n - 1) + "</chain>")
+        return parse_dtdc(self.SCHEMA, root="chain"), text
+
+    def test_parse_and_serialize(self, chain):
+        dtd, text = chain
+        tree = parse_document(text, dtd.structure)
+        assert tree.size() == self.DEPTH + 1
+        compact = serialize(tree, indent=None)
+        assert compact == text + "\n"
+        assert parse_document(compact).size() == self.DEPTH + 1
+
+    def test_validates_in_every_engine(self, chain):
+        from repro import Validator
+
+        dtd, text = chain
+        validator = Validator(dtd)
+        reports = {engine: validator.check(text, engine=engine).to_json()
+                   for engine in ("batch", "stream", "codegen")}
+        assert reports["batch"] == reports["stream"] == reports["codegen"]
+        assert validator.check(text, engine="batch").ok
+
+    def test_pretty_printing_is_iterative(self):
+        from repro.datamodel import DataTree
+
+        tree = DataTree("n")
+        vertex = tree.root
+        for _ in range(3000):
+            vertex = tree.create_under(vertex, "n")
+        text = serialize(tree)
+        assert text.count("\n") == 2 * 3000 + 1
+        assert parse_document(text).size() == 3001
