@@ -46,47 +46,7 @@ Quickstart::
     assert engine.finitely_implies(phi)     # ... but finitely implied.
 """
 
-import warnings as _warnings
-
-from repro.analysis import (
-    AnalysisReport, Diagnostic, LintConfig, Severity, analyze,
-)
-from repro.constraints import (
-    Constraint, Field, ForeignKey, IDConstraint, IDForeignKey, IDInverse,
-    IDSetValuedForeignKey, Inverse, Key, Language, SetValuedForeignKey,
-    UnaryForeignKey, UnaryKey, attr, elem,
-    parse_constraint, parse_constraints, well_formed,
-)
-from repro import engines
-from repro.corpus import CorpusReport, CorpusValidator, ResultCache
-from repro.datamodel import DataTree, TreeBuilder, Vertex
-from repro.dtd import DTDC, DTDStructure, ValidationReport
-from repro.errors import ReproError
-from repro.implication import (
-    Derivation, ImplicationResult, LGeneralEngine, LidEngine,
-    LPrimaryEngine, LuEngine, LuPrimaryEngine,
-)
-from repro.paths import (
-    Path, PathFunctional, PathImplicationEngine, PathInclusion,
-    PathInverse, parse_path, type_of,
-)
-from repro.incremental import DocumentSession
-from repro.obs import (
-    NULL_OBS, EventLog, Observability, TraceContext,
-)
-from repro.server import (
-    SchemaHandle, SchemaRegistry, ValidationServer,
-)
-from repro.shard import (
-    Locality, ShardReport, ShardedCorpusValidator, WatchSession,
-)
-from repro.synthesis import (
-    SatReport, UnsatCore, Verdict, check_satisfiability,
-    synthesize_witness,
-)
-from repro.validator import Validator
-from repro.workloads import book_document, book_dtdc
-from repro.xmlio import parse_document, parse_dtd, parse_dtdc, serialize
+from repro._lazy import surface as _surface
 
 __version__ = "1.5.0"
 
@@ -116,41 +76,61 @@ __all__ = [
     "__version__",
 ]
 
-#: Legacy top-level entry points, kept importable through the module
-#: ``__getattr__`` below.  Each maps to its lazy import and the
-#: Validator-facade replacement named in the DeprecationWarning; the
-#: removal version makes the schedule part of the contract.
-_DEPRECATED = {
-    "validate": ("repro.dtd", "validate",
-                 "Validator(dtd).validate(doc)"),
-    "check": ("repro.constraints", "check",
-              "Validator(dtd).check(doc)"),
-    "check_constraint": ("repro.constraints", "check_constraint",
-                         "Validator(dtd).check(doc, [phi])"),
-}
-
-#: The release that will drop the deprecated entry points above.
+#: The release that will drop the deprecated entry points below.
 _REMOVAL_VERSION = "2.0"
 
+#: Legacy top-level entry points: still public (they stay in
+#: ``__all__``) and still working, but every access warns with the
+#: Validator-facade replacement; the removal version makes the schedule
+#: part of the contract.
+_DEPRECATED = {
+    name: (
+        f"repro.{name} is deprecated and will be removed in repro "
+        f"{_REMOVAL_VERSION}; use repro.{replacement} — or bind the "
+        "schema once via repro.SchemaRegistry and use "
+        "Validator.from_registry — instead (see the migration "
+        "table in README.md)")
+    for name, replacement in (
+        ("validate", "Validator(dtd).validate(doc)"),
+        ("check", "Validator(dtd).check(doc)"),
+        ("check_constraint", "Validator(dtd).check(doc, [phi])"),
+    )
+}
 
-def __getattr__(name: str):
-    """PEP 562 hook: serve the deprecated entry points with a warning.
-
-    The names stay in ``__all__`` (they are still public, just
-    discouraged), but they are no longer imported eagerly, so touching
-    them — by attribute access or ``from repro import validate`` —
-    funnels through here exactly once per access site.
-    """
-    if name in _DEPRECATED:
-        module, attr_name, replacement = _DEPRECATED[name]
-        _warnings.warn(
-            f"repro.{name} is deprecated and will be removed in repro "
-            f"{_REMOVAL_VERSION}; use repro.{replacement} — or bind the "
-            "schema once via repro.SchemaRegistry and use "
-            "Validator.from_registry — instead (see the migration "
-            "table in README.md)",
-            DeprecationWarning, stacklevel=2)
-        import importlib
-
-        return getattr(importlib.import_module(module), attr_name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Every public name is imported on first access (see repro._lazy), so
+# ``import repro`` loads nothing else and a CLI run or shard node pays
+# only for what it validates with.
+__getattr__, __dir__ = _surface(__name__, {
+    "repro.analysis": (
+        "AnalysisReport", "Diagnostic", "LintConfig", "Severity",
+        "analyze"),
+    "repro.constraints": (
+        "Constraint", "Field", "ForeignKey", "IDConstraint",
+        "IDForeignKey", "IDInverse", "IDSetValuedForeignKey", "Inverse",
+        "Key", "Language", "SetValuedForeignKey", "UnaryForeignKey",
+        "UnaryKey", "attr", "elem", "parse_constraint",
+        "parse_constraints", "well_formed", "check", "check_constraint"),
+    "repro.corpus": ("CorpusReport", "CorpusValidator", "ResultCache"),
+    "repro.datamodel": ("DataTree", "TreeBuilder", "Vertex"),
+    "repro.dtd": ("DTDC", "DTDStructure", "ValidationReport", "validate"),
+    "repro.errors": ("ReproError",),
+    "repro.implication": (
+        "Derivation", "ImplicationResult", "LGeneralEngine", "LidEngine",
+        "LPrimaryEngine", "LuEngine", "LuPrimaryEngine"),
+    "repro.paths": (
+        "Path", "PathFunctional", "PathImplicationEngine", "PathInclusion",
+        "PathInverse", "parse_path", "type_of"),
+    "repro.incremental": ("DocumentSession",),
+    "repro.obs": ("NULL_OBS", "EventLog", "Observability", "TraceContext"),
+    "repro.server": ("SchemaHandle", "SchemaRegistry", "ValidationServer"),
+    "repro.shard": (
+        "Locality", "ShardReport", "ShardedCorpusValidator",
+        "WatchSession"),
+    "repro.synthesis": (
+        "SatReport", "UnsatCore", "Verdict", "check_satisfiability",
+        "synthesize_witness"),
+    "repro.validator": ("Validator",),
+    "repro.workloads": ("book_document", "book_dtdc"),
+    "repro.xmlio": ("parse_document", "parse_dtd", "parse_dtdc",
+                    "serialize"),
+}, submodules=("engines",), deprecated=_DEPRECATED)

@@ -65,19 +65,9 @@ from pathlib import Path as FsPath
 
 from repro.cli.logging import LOG, configure_logging
 from repro.constraints.parser import parse_constraint
-from repro.constraints.wellformed import language_of
-from repro.constraints.base import Language
 from repro.dtd.validate import validate
 from repro.errors import ReproError
-from repro.implication.lid import LidEngine
-from repro.implication.lu import LuEngine
-from repro.implication.l_primary import LPrimaryEngine
 from repro.obs import Observability, TraceContext, activate
-from repro.paths.constraints import (
-    PathFunctional, PathInclusion, PathInverse,
-)
-from repro.paths.implication import PathImplicationEngine
-from repro.paths.path import parse_path, type_of
 from repro.server.registry import SchemaRegistry
 from repro.xmlio.dtdparse import parse_dtdc
 from repro.xmlio.parser import parse_document
@@ -449,10 +439,16 @@ def _cmd_synth(args) -> int:
     return 2
 
 
-def _pick_engine(sigma, phi, obs=None):
-    """Choose the decider from the joint language of Σ ∪ {φ} — but
-    build it over Σ only."""
-    language = language_of(list(sigma) + [phi])
+def _pick_engine(sigma, phi=None, obs=None):
+    """Choose the decider from the joint language of Σ ∪ {φ} (or of Σ
+    alone without φ) — but build it over Σ only."""
+    from repro.constraints.base import Language
+    from repro.constraints.wellformed import language_of
+    from repro.implication.l_primary import LPrimaryEngine
+    from repro.implication.lid import LidEngine
+    from repro.implication.lu import LuEngine
+
+    language = language_of(list(sigma) + ([] if phi is None else [phi]))
     if language & Language.LID:
         return LidEngine(sigma, obs=obs)
     if language & Language.LU:
@@ -477,6 +473,8 @@ def _cmd_imply(args) -> int:
 
 
 def _cmd_path_type(args) -> int:
+    from repro.paths.path import parse_path, type_of
+
     dtd = _load_dtdc(args.schema, args.root)
     path_type = type_of(dtd, args.element, parse_path(args.path))
     if args.format == "json":
@@ -488,6 +486,11 @@ def _cmd_path_type(args) -> int:
 
 
 def _parse_path_constraint(text: str):
+    from repro.paths.constraints import (
+        PathFunctional, PathInclusion, PathInverse,
+    )
+    from repro.paths.path import parse_path
+
     for sep, cls in ((" inv ", PathInverse), (" sub ", PathInclusion),
                      (" -> ", PathFunctional)):
         if sep in text:
@@ -507,6 +510,8 @@ def _parse_path_constraint(text: str):
 
 
 def _cmd_path_imply(args) -> int:
+    from repro.paths.implication import PathImplicationEngine
+
     dtd = _load_dtdc(args.schema, args.root)
     phi = _parse_path_constraint(args.constraint)
     result = PathImplicationEngine(dtd).implies(phi)
@@ -540,13 +545,7 @@ def _cmd_profile(args) -> int:
     sigma = list(dtd.constraints)
     if sigma:
         try:
-            language = language_of(sigma)
-            if language & Language.LID:
-                LidEngine(sigma, obs=obs)
-            elif language & Language.LU:
-                LuEngine(sigma, obs=obs)
-            else:
-                LPrimaryEngine(sigma, obs=obs)
+            _pick_engine(sigma, obs=obs)
         except ReproError as exc:
             LOG.info("implication closure skipped: %s", exc)
     session = DocumentSession(tree, dtd.constraints, dtd.structure, obs=obs)

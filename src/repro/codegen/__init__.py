@@ -15,16 +15,7 @@ Select it through the unified engine API::
     validator.check("doc.xml", engine="codegen")   # or engine="auto"
 """
 
-from repro.codegen.cache import (
-    CACHE_ENV, cache_dir, cache_path, load_source, store_source,
-)
-from repro.codegen.engine import (
-    CodegenValidator, CompiledSchema, compile_schema, load_compiled,
-)
-from repro.codegen.generate import (
-    GENERATOR_VERSION, CompileError, generate_source,
-)
-from repro.codegen.runtime import RunState
+from repro._lazy import surface as _surface
 
 __all__ = [
     "CACHE_ENV",
@@ -41,3 +32,15 @@ __all__ = [
     "load_source",
     "store_source",
 ]
+
+__getattr__, __dir__ = _surface(__name__, {
+    "repro.codegen.cache": (
+        "CACHE_ENV", "cache_dir", "cache_path", "load_source",
+        "store_source"),
+    "repro.codegen.engine": (
+        "CodegenValidator", "CompiledSchema", "compile_schema",
+        "load_compiled"),
+    "repro.codegen.generate": (
+        "GENERATOR_VERSION", "CompileError", "generate_source"),
+    "repro.codegen.runtime": ("RunState",),
+})

@@ -17,18 +17,7 @@ Satisfaction is checked with :func:`check` (indexed, near-linear) or
 well-formedness against a DTD structure with :func:`well_formed`.
 """
 
-from repro.constraints.base import Constraint, Field, Language, attr, elem
-from repro.constraints.lang_l import ForeignKey, Key
-from repro.constraints.lang_lu import (
-    Inverse, SetValuedForeignKey, UnaryForeignKey, UnaryKey,
-)
-from repro.constraints.lang_lid import (
-    IDConstraint, IDForeignKey, IDInverse, IDSetValuedForeignKey,
-)
-from repro.constraints.checker import check, check_constraint, check_naive
-from repro.constraints.violations import Violation, ViolationReport
-from repro.constraints.wellformed import well_formed
-from repro.constraints.parser import parse_constraint, parse_constraints
+from repro._lazy import surface as _surface
 
 __all__ = [
     "Constraint", "Field", "Language", "attr", "elem",
@@ -39,3 +28,18 @@ __all__ = [
     "Violation", "ViolationReport", "well_formed",
     "parse_constraint", "parse_constraints",
 ]
+
+__getattr__, __dir__ = _surface(__name__, {
+    "repro.constraints.base": (
+        "Constraint", "Field", "Language", "attr", "elem"),
+    "repro.constraints.lang_l": ("ForeignKey", "Key"),
+    "repro.constraints.lang_lu": (
+        "Inverse", "SetValuedForeignKey", "UnaryForeignKey", "UnaryKey"),
+    "repro.constraints.lang_lid": (
+        "IDConstraint", "IDForeignKey", "IDInverse",
+        "IDSetValuedForeignKey"),
+    "repro.constraints.checker": ("check", "check_constraint", "check_naive"),
+    "repro.constraints.violations": ("Violation", "ViolationReport"),
+    "repro.constraints.wellformed": ("well_formed",),
+    "repro.constraints.parser": ("parse_constraint", "parse_constraints"),
+})

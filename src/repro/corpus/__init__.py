@@ -22,11 +22,7 @@ code, ``repro-xic check-corpus SCHEMA DOCS... --jobs 8 --cache DIR``
 from the command line.
 """
 
-from repro.corpus.cache import (
-    ResultCache, result_key, result_key_bytes, schema_fingerprint,
-)
-from repro.corpus.report import CorpusReport, DocumentVerdict
-from repro.corpus.validator import CorpusValidator
+from repro._lazy import surface as _surface
 
 __all__ = [
     "CorpusReport",
@@ -37,3 +33,11 @@ __all__ = [
     "result_key_bytes",
     "schema_fingerprint",
 ]
+
+__getattr__, __dir__ = _surface(__name__, {
+    "repro.corpus.cache": (
+        "ResultCache", "result_key", "result_key_bytes",
+        "schema_fingerprint"),
+    "repro.corpus.report": ("CorpusReport", "DocumentVerdict"),
+    "repro.corpus.validator": ("CorpusValidator",),
+})

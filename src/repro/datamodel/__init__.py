@@ -15,8 +15,12 @@ The public classes are :class:`Vertex` and :class:`DataTree`; a fluent
 constraint checker.
 """
 
-from repro.datamodel.tree import DataTree, Vertex
-from repro.datamodel.builder import TreeBuilder
-from repro.datamodel.indexes import AttributeIndex
+from repro._lazy import surface as _surface
 
 __all__ = ["DataTree", "Vertex", "TreeBuilder", "AttributeIndex"]
+
+__getattr__, __dir__ = _surface(__name__, {
+    "repro.datamodel.tree": ("DataTree", "Vertex"),
+    "repro.datamodel.builder": ("TreeBuilder",),
+    "repro.datamodel.indexes": ("AttributeIndex",),
+})

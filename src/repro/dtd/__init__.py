@@ -9,9 +9,13 @@
   notion of Definition 2.4: structural conformance plus ``G ⊨ Σ``.
 """
 
-from repro.dtd.structure import AttributeKind, DTDStructure
-from repro.dtd.dtdc import DTDC
-from repro.dtd.validate import ValidationReport, validate
+from repro._lazy import surface as _surface
 
 __all__ = ["AttributeKind", "DTDStructure", "DTDC", "ValidationReport",
            "validate"]
+
+__getattr__, __dir__ = _surface(__name__, {
+    "repro.dtd.structure": ("AttributeKind", "DTDStructure"),
+    "repro.dtd.dtdc": ("DTDC",),
+    "repro.dtd.validate": ("ValidationReport", "validate"),
+})

@@ -18,10 +18,7 @@ See :mod:`repro.server.registry` for the handle/hot-swap semantics and
 :mod:`repro.server.daemon` for the wire protocols.
 """
 
-from repro.server.daemon import ValidationServer
-from repro.server.registry import (
-    SchemaHandle, SchemaNotFound, SchemaRegistry, as_handle,
-)
+from repro._lazy import surface as _surface
 
 __all__ = [
     "SchemaHandle",
@@ -30,3 +27,9 @@ __all__ = [
     "ValidationServer",
     "as_handle",
 ]
+
+__getattr__, __dir__ = _surface(__name__, {
+    "repro.server.daemon": ("ValidationServer",),
+    "repro.server.registry": (
+        "SchemaHandle", "SchemaNotFound", "SchemaRegistry", "as_handle"),
+})

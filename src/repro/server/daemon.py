@@ -64,6 +64,7 @@ import json
 import random
 import sys
 import time
+import traceback
 from typing import Optional
 
 from repro.errors import ParseError, ReproError
@@ -182,8 +183,10 @@ class ValidationServer:
         Never raises for request-level problems: schema-not-found maps
         to 404/``not-found``, unparseable documents and schema text to
         422/``invalid-document``, everything else malformed to
-        400/``bad-request``.  The response always echoes a request
-        ``id`` (the JSONL correlation field) when one was sent.
+        400/``bad-request``, and any other ``Exception`` an op raises to
+        500/``internal-error`` (recorded in the event log).  The
+        response always echoes a request ``id`` (the JSONL correlation
+        field) when one was sent.
 
         Every request is admitted under a :class:`TraceContext` —
         adopted from an incoming ``traceparent`` header/field, or
@@ -229,6 +232,15 @@ class ValidationServer:
                 payload, status = _error("bad-request", exc), 400
             except OSError as exc:
                 payload, status = _error("bad-request", exc), 400
+            except Exception as exc:
+                # The per-request boundary: a fault inside an op (an
+                # engine bug, a third-party engine's exception) answers
+                # this request and leaves the process — a shard node —
+                # serving the next one.
+                message = f"{type(exc).__name__}: {exc}"
+                payload, status = _error("internal-error", message), 500
+                self.events.error("internal-error", message, op=op,
+                                  traceback=traceback.format_exc())
             elapsed = time.perf_counter() - t0
             trace_payload = self._finish_request(
                 req, op, payload, status, elapsed, ctx, sampled, req_obs)

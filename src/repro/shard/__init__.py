@@ -12,17 +12,7 @@ cross-document findings ride alongside on the
 :mod:`~repro.shard.watch` adds the incremental ``--watch`` loop on top.
 """
 
-from repro.shard.aggregates import (
-    CorpusViolation, extract_aggregates, fold_aggregates,
-)
-from repro.shard.coordinator import (
-    ShardReport, ShardedCorpusValidator, shard_of,
-)
-from repro.shard.locality import (
-    Locality, classify_constraint, classify_sigma,
-)
-from repro.shard.node import LocalNode, ShardNode, SubprocessNode
-from repro.shard.watch import WatchDelta, WatchSession
+from repro._lazy import surface as _surface
 
 __all__ = [
     "CorpusViolation",
@@ -40,3 +30,14 @@ __all__ = [
     "fold_aggregates",
     "shard_of",
 ]
+
+__getattr__, __dir__ = _surface(__name__, {
+    "repro.shard.aggregates": (
+        "CorpusViolation", "extract_aggregates", "fold_aggregates"),
+    "repro.shard.coordinator": (
+        "ShardReport", "ShardedCorpusValidator", "shard_of"),
+    "repro.shard.locality": (
+        "Locality", "classify_constraint", "classify_sigma"),
+    "repro.shard.node": ("LocalNode", "ShardNode", "SubprocessNode"),
+    "repro.shard.watch": ("WatchDelta", "WatchSession"),
+})

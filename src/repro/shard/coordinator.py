@@ -212,9 +212,13 @@ class ShardedCorpusValidator:
             text = self._shippable_schema()
             nodes: list[ShardNode] = []
             try:
+                # every node first, then the schema on each: a
+                # SubprocessNode starts its interpreter at construction,
+                # so the fleet's start-ups overlap instead of queueing
+                # behind each node's load reply
                 for s in range(self.shards):
-                    node = self.node_factory(f"shard-{s}")
-                    nodes.append(node)
+                    nodes.append(self.node_factory(f"shard-{s}"))
+                for node in nodes:
                     node.load_schema(self.schema_name, text,
                                      self.dtd.structure.root,
                                      self.fingerprint)

@@ -15,8 +15,7 @@ Reports are byte-identical (``to_json()``) to the batch path
 entry point is ``repro.Validator(dtd).check_stream(path_or_text)``.
 """
 
-from repro.stream.plan import LabelPlan, StreamPlan, compile_plan
-from repro.stream.validator import StreamIndex, StreamValidator, StreamVertex
+from repro._lazy import surface as _surface
 
 __all__ = [
     "LabelPlan",
@@ -26,3 +25,9 @@ __all__ = [
     "StreamVertex",
     "compile_plan",
 ]
+
+__getattr__, __dir__ = _surface(__name__, {
+    "repro.stream.plan": ("LabelPlan", "StreamPlan", "compile_plan"),
+    "repro.stream.validator": (
+        "StreamIndex", "StreamValidator", "StreamVertex"),
+})

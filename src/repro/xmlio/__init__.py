@@ -11,9 +11,13 @@
 - :func:`serialize_dtdc` — the reverse.
 """
 
-from repro.xmlio.parser import parse_document, parse_document_with_dtd
-from repro.xmlio.serializer import serialize
-from repro.xmlio.dtdparse import parse_dtd, parse_dtdc, serialize_dtdc
+from repro._lazy import surface as _surface
 
 __all__ = ["parse_document", "parse_document_with_dtd", "serialize",
            "parse_dtd", "parse_dtdc", "serialize_dtdc"]
+
+__getattr__, __dir__ = _surface(__name__, {
+    "repro.xmlio.parser": ("parse_document", "parse_document_with_dtd"),
+    "repro.xmlio.serializer": ("serialize",),
+    "repro.xmlio.dtdparse": ("parse_dtd", "parse_dtdc", "serialize_dtdc"),
+})

@@ -929,3 +929,82 @@ class TestStdioTransport:
         assert out[0]["ok"]
         assert out[1]["valid"]
         assert out[2]["code"] == "bad-request"
+
+
+class _Exploding:
+    """A third-party engine whose ``validate`` fails with a non-request
+    error: the per-request boundary's test double."""
+
+    def __init__(self, handle, obs=None):
+        pass
+
+    def validate(self, source):
+        raise RuntimeError("engine fault")
+
+
+@pytest.fixture
+def exploding_engine():
+    from repro import engines
+
+    engines.register("exploding", _Exploding)
+    yield "exploding"
+    engines.unregister("exploding")
+
+
+class TestInternalErrorBoundary:
+    """Any other ``Exception`` an op raises becomes a 500
+    ``internal-error`` reply; the process keeps serving."""
+
+    def test_dispatcher_replies_500_and_logs(self, doc_text,
+                                             exploding_engine):
+        server = make_server()
+        payload, status = server.handle_request(
+            {"op": "validate", "schema": "book", "document": doc_text,
+             "engine": exploding_engine, "id": 7})
+        assert status == 500
+        assert payload == {"id": 7, "ok": False, "code": "internal-error",
+                           "error": "RuntimeError: engine fault"}
+        events = [e for e in server.events.tail()
+                  if e["code"] == "internal-error"]
+        assert len(events) == 1
+        assert events[0]["level"] == "error"
+        assert events[0]["message"] == "RuntimeError: engine fault"
+        assert events[0]["attrs"]["op"] == "validate"
+        assert "RuntimeError: engine fault" \
+            in events[0]["attrs"]["traceback"]
+        assert server.handle_request({"op": "ping"})[1] == 200
+
+    def test_stdio_loop_survives(self, monkeypatch, capsys, doc_text,
+                                 exploding_engine):
+        lines = "\n".join([
+            json.dumps({"op": "validate", "schema": "book",
+                        "document": doc_text, "id": 1,
+                        "engine": exploding_engine}),
+            json.dumps({"op": "ping", "id": 2}),
+        ]) + "\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        run(make_server().serve_stdio())
+        out = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+        assert [r.get("id") for r in out] == [1, 2]
+        assert out[0]["code"] == "internal-error"
+        assert out[1]["ok"]
+
+    def test_http_answers_500(self, doc_text, exploding_engine):
+        async def scenario():
+            server = make_server()
+            await server.start_http()
+            try:
+                client = await _HttpClient.open(server.http_address)
+                status, _h, data = await client.request(
+                    "POST", f"/v1/validate/book?engine={exploding_engine}",
+                    doc_text.encode("utf-8"))
+                assert status == 500
+                assert json.loads(data)["code"] == "internal-error"
+                status, _h, _d = await client.request("GET", "/healthz")
+                assert status == 200
+                await client.close()
+            finally:
+                await server.close()
+
+        run(scenario())

@@ -356,6 +356,68 @@ class TestNodes:
         node.close()  # idempotent
 
 
+class _RecordingNode(LocalNode):
+    """An in-process node that logs its life cycle into ``log``."""
+
+    def __init__(self, name, log, fail_load=False):
+        super().__init__(name)
+        self.log, self.fail_load = log, fail_load
+        log.append(("construct", name))
+
+    def load_schema(self, *args):
+        self.log.append(("load", self.name))
+        if self.fail_load:
+            raise ReproError(f"{self.name} refused the schema")
+        return super().load_schema(*args)
+
+    def close(self):
+        self.log.append(("close", self.name))
+        super().close()
+
+
+class TestFleetStartup:
+    """Nodes are all constructed (a subprocess node starts its
+    interpreter there) before any schema load, so start-ups overlap."""
+
+    def test_every_construction_precedes_the_first_load(self, library):
+        dtd, trees = library
+        log: list = []
+        with ShardedCorpusValidator(
+                dtd, shards=3,
+                node_factory=lambda name: _RecordingNode(name, log)) as sv:
+            sv.validate(_pairs(trees))
+        steps = [step for step, _name in log]
+        assert steps == ["construct"] * 3 + ["load"] * 3 + ["close"] * 3
+
+    def test_failed_load_closes_every_node(self, library):
+        dtd, trees = library
+        log: list = []
+
+        def factory(name):
+            return _RecordingNode(name, log, fail_load=name == "shard-1")
+
+        sv = ShardedCorpusValidator(dtd, shards=3, node_factory=factory)
+        with pytest.raises(ReproError, match="refused"):
+            sv.validate(_pairs(trees))
+        closed = {name for step, name in log if step == "close"}
+        assert closed == {"shard-0", "shard-1", "shard-2"}
+
+    def test_failed_construction_closes_the_built_nodes(self, library):
+        dtd, trees = library
+        log: list = []
+
+        def factory(name):
+            if name == "shard-2":
+                raise ReproError("no room for shard-2")
+            return _RecordingNode(name, log)
+
+        sv = ShardedCorpusValidator(dtd, shards=3, node_factory=factory)
+        with pytest.raises(ReproError, match="no room"):
+            sv.validate(_pairs(trees))
+        assert [step for step, _name in log] == \
+            ["construct", "construct", "close", "close"]
+
+
 # -- coordinator caching ----------------------------------------------------
 
 
